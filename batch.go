@@ -38,69 +38,54 @@ type BatchResult struct {
 //
 // workers bounds the concurrency exactly as in ParallelQueries, and specs
 // are validated up front the same way — a malformed spec never reaches the
-// worker pool. Sharded specs (Opts.Shards != 0) are rejected with
-// ErrBadQuery: sharding partitions the database per query, which defeats
+// worker pool. Sharded specs (Opts.Shards != 0) and per-query backend
+// stacks (Backend, Cache, Fault) are rejected with ErrBadQuery: they defeat
 // the shared scan; use ParallelQueries for those.
 func BatchQuery(db *Database, specs []QuerySpec, workers int) *BatchResult {
 	br := &BatchResult{Outcomes: make([]QueryOutcome, len(specs))}
-	valid := make([]int, 0, len(specs))
-	for i := range specs {
-		br.Outcomes[i].Spec = specs[i]
-		if err := validateSpec(db, specs[i]); err != nil {
-			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w", i, err)
-			continue
-		}
-		if specs[i].Opts.Shards != 0 {
-			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w: sharded specs do not compose with the shared scan; use ParallelQueries", i, ErrBadQuery)
-			continue
-		}
-		if specs[i].Opts.Backend != nil || specs[i].Opts.Cache != nil || specs[i].Opts.Fault != nil {
-			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w: per-query backend stacks do not compose with the shared scan; use ParallelQueries", i, ErrBadQuery)
-			continue
-		}
-		valid = append(valid, i)
-	}
-	if len(valid) == 0 {
-		return br
-	}
-	lists := make([]access.ListSource, db.M())
-	for i := 0; i < db.M(); i++ {
-		lists[i] = db.List(i)
-	}
-	scan := access.NewSharedScan(lists)
 	// Attach every query before any worker starts consuming, so no query
 	// begins below an already-trimmed window; each worker releases its
 	// consumer as soon as its query finishes, letting the sliding windows
 	// trim past it instead of buffering to the deepest scan.
-	type attached struct {
-		algo    core.Algorithm
-		src     *access.Source
-		release func()
-	}
-	runs := make([]attached, len(valid))
-	for j, i := range valid {
-		al, policy, err := resolve(db, specs[i].Opts)
+	runs := make([]func(), 0, len(specs))
+	var scan *access.SharedScan
+	for i := range specs {
+		br.Outcomes[i].Spec = specs[i]
+		al, policy, err := resolveSpec(db, specs[i])
 		if err != nil {
 			br.Outcomes[i].Err = fmt.Errorf("repro: query %d: %w", i, err)
 			continue
 		}
+		if scan == nil {
+			lists := make([]access.ListSource, db.M())
+			for l := range lists {
+				lists[l] = db.List(l)
+			}
+			scan = access.NewSharedScan(lists)
+		}
 		src, release := scan.Attach(policy)
-		runs[j] = attached{algo: al, src: src, release: release}
+		runs = append(runs, func() {
+			defer release()
+			res, err := al.Run(src, specs[i].Agg, specs[i].K)
+			if err != nil {
+				err = fmt.Errorf("repro: query %d: %w", i, err)
+			}
+			br.Outcomes[i].Result, br.Outcomes[i].Err = res, err
+		})
 	}
-	shard.ForEach(len(valid), workers, func(j int) {
-		i := valid[j]
-		run := runs[j]
-		if run.algo == nil {
-			return // resolve already recorded the error
-		}
-		defer run.release()
-		res, err := run.algo.Run(run.src, specs[i].Agg, specs[i].K)
-		if err != nil {
-			err = fmt.Errorf("repro: query %d: %w", i, err)
-		}
-		br.Outcomes[i].Result = res
-		br.Outcomes[i].Err = err
-	})
+	if len(runs) == 0 {
+		return br
+	}
+	shard.ForEach(len(runs), workers, func(j int) { runs[j]() })
 	br.Scan = scan.Stats()
 	return br
+}
+
+// resolveSpec validates a batch spec's shape and options for the shared
+// scan and resolves its algorithm and access policy.
+func resolveSpec(db *Database, spec QuerySpec) (core.Algorithm, access.Policy, error) {
+	if err := validateSpec(db, spec); err != nil {
+		return nil, access.Policy{}, err
+	}
+	return resolve(db, spec.Opts, core.PathSharedScan)
 }

@@ -186,24 +186,15 @@ func main() {
 		MinTheta:       *minTheta,
 		Hedge:          *hedge,
 	}
+	algorithm, err := repro.ValidateOptions(db, opts)
+	if err != nil {
+		fatal(err)
+	}
 	var res *repro.Result
 	var eng *repro.Sharded
 	if cacheSpec != nil && p != 0 {
 		// Build the engine by hand so the per-shard cache statistics can
-		// be reported after the query — enforcing the same option rules
-		// the repro.Query path applies.
-		engineAlgo := normalizeAlgo(*algo)
-		switch engineAlgo {
-		case "", string(repro.AlgoTA), string(repro.AlgoNRA):
-		default:
-			fatal(fmt.Errorf("%w: sharding supports only the TA and NRA algorithms, got %q", repro.ErrBadQuery, *algo))
-		}
-		if engineAlgo == string(repro.AlgoTA) && *noRandom {
-			fatal(fmt.Errorf("%w: TA needs random access; drop -no-random or use -algo NRA", repro.ErrBadQuery))
-		}
-		if *theta != 0 {
-			fatal(fmt.Errorf("%w: sharding computes exact answers; -theta is not supported", repro.ErrBadQuery))
-		}
+		// be reported after the query.
 		eng, err = repro.NewFaultyStack(db, p, backendSpec, faultSpec, cacheSpec)
 		if err != nil {
 			fatal(err)
@@ -212,7 +203,7 @@ func main() {
 			Workers:        *workers,
 			CostAwareTA:    *costTA,
 			Costs:          repro.CostModel{CS: *cs, CR: *cr},
-			NoRandomAccess: *noRandom || engineAlgo == string(repro.AlgoNRA),
+			NoRandomAccess: algorithm == string(repro.AlgoNRA),
 			Publish:        repro.PublishPolicy(*publish),
 			PublishEvery:   *publishR,
 			Schedule:       repro.Schedule(*schedule),
@@ -226,29 +217,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	engine := normalizeAlgo(*algo)
-	if engine == "" {
-		engine = string(repro.AlgoTA)
-		if *noRandom {
-			engine = string(repro.AlgoNRA)
-		}
-	}
-	if *costTA && engine == string(repro.AlgoTA) {
-		engine = "cost-aware TA"
-	}
-	if p >= 1 {
-		worker := "TA"
-		if *costTA {
-			worker = "cost-aware TA"
-		}
-		if *noRandom || engine == string(repro.AlgoNRA) {
-			worker = "NRA"
-		}
-		if *shards == repro.AutoShards {
-			engine = fmt.Sprintf("sharded %s, P=auto(%d)", worker, p)
-		} else {
-			engine = fmt.Sprintf("sharded %s, P=%d", worker, p)
-		}
+	engine := strings.Replace(algorithm, "CostAwareTA", "cost-aware TA", 1)
+	if *shards == repro.AutoShards {
+		engine = fmt.Sprintf("sharded %s, P=auto(%d)", engine, p)
+	} else if p >= 1 {
+		engine = fmt.Sprintf("sharded %s, P=%d", engine, p)
 	}
 	fmt.Printf("top %d under %s (%s, N=%d, m=%d):\n", *k, *aggName, engine, db.N(), db.M())
 	for i, it := range res.Items {
@@ -298,21 +271,13 @@ func main() {
 	}
 }
 
-// normalizeAlgo maps user input to the canonical algorithm names.
+// normalizeAlgo maps user input to the canonical algorithm names, ignoring
+// case; unknown names pass through for the option check to reject.
 func normalizeAlgo(s string) string {
-	switch strings.ToLower(s) {
-	case "ta":
-		return string(repro.AlgoTA)
-	case "fa":
-		return string(repro.AlgoFA)
-	case "nra":
-		return string(repro.AlgoNRA)
-	case "ca":
-		return string(repro.AlgoCA)
-	case "naive":
-		return string(repro.AlgoNaive)
-	case "maxtopk":
-		return string(repro.AlgoMaxTopK)
+	for _, a := range []repro.AlgorithmName{repro.AlgoTA, repro.AlgoFA, repro.AlgoNRA, repro.AlgoCA, repro.AlgoNaive, repro.AlgoMaxTopK} {
+		if strings.EqualFold(s, string(a)) {
+			return string(a)
+		}
 	}
 	return s
 }

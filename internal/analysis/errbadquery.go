@@ -25,12 +25,12 @@ import (
 var ErrBadQuery = &Analyzer{
 	Name: "errbadquery",
 	Key:  "notbadquery",
-	Doc: "errors in repro, internal/shard, internal/access, internal/traffic " +
-		"and cmd/topk must wrap their sentinel (ErrBadQuery for validation, " +
+	Doc: "errors in repro, internal/core, internal/shard, internal/access, " +
+		"internal/traffic and cmd/topk must wrap their sentinel (ErrBadQuery for validation, " +
 		"ErrBackend for backend failures) via %w; flag errors.New and " +
 		"fmt.Errorf without %w " +
 		"(//lint:notbadquery <reason> for genuine unsentineled errors)",
-	Scope: []string{"repro", "repro/internal/shard", "repro/internal/access", "repro/internal/traffic", "repro/cmd/topk"},
+	Scope: []string{"repro", "repro/internal/core", "repro/internal/shard", "repro/internal/access", "repro/internal/traffic", "repro/cmd/topk"},
 	Run:   runErrBadQuery,
 }
 

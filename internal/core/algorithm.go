@@ -43,6 +43,8 @@ type Algorithm interface {
 }
 
 // ErrBadQuery wraps all query validation failures.
+//
+//lint:notbadquery ErrBadQuery is the validation sentinel itself; it cannot wrap itself
 var ErrBadQuery = errors.New("core: invalid query")
 
 // ValidateQueryShape performs the query checks shared by every execution

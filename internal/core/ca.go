@@ -64,7 +64,7 @@ func (a *CA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 			if err := c.Err(); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("core: CA exhausted all lists without satisfying the stopping rule")
+			return nil, fmt.Errorf("core: CA exhausted all lists without satisfying the stopping rule") //lint:notbadquery an engine invariant failure, not a malformed query
 		}
 		if c.Depth()%h == 0 {
 			if err := c.randomPhase(); err != nil {

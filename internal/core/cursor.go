@@ -287,7 +287,7 @@ func (c *NRACursor) randomPhase() error {
 func (c *NRACursor) resolve(obj model.ObjectID) error {
 	p := c.tb.parts[obj]
 	if p == nil {
-		return fmt.Errorf("core: queued object %d has no bookkeeping entry", obj)
+		return fmt.Errorf("core: queued object %d has no bookkeeping entry", obj) //lint:notbadquery an engine invariant failure, not a malformed query
 	}
 	if err := c.tb.resolveAll(p); err != nil {
 		c.err = err

@@ -83,7 +83,7 @@ func (FA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 			}
 			g, ok := src.Random(i, obj)
 			if !ok {
-				return nil, fmt.Errorf("core: object %d missing from list %d", obj, i)
+				return nil, fmt.Errorf("core: object %d missing from list %d", obj, i) //lint:notbadquery a database missing an object is corrupt, not a malformed query
 			}
 			st.grades[i] = g
 			st.known |= bit

@@ -62,7 +62,7 @@ func (a *Intermittent) Run(src *access.Source, t agg.Func, k int) (*Result, erro
 			if err := c.Err(); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("core: Intermittent exhausted all lists without satisfying the stopping rule")
+			return nil, fmt.Errorf("core: Intermittent exhausted all lists without satisfying the stopping rule") //lint:notbadquery an engine invariant failure, not a malformed query
 		}
 		queue = append(queue, c.encounteredObjects()...)
 		if c.Depth()%h == 0 {
@@ -89,7 +89,7 @@ func (a *Intermittent) drainQueue(c *NRACursor, queue *[]model.ObjectID) (bool, 
 		q = q[1:]
 		known := c.fieldsKnown(obj)
 		if known == 0 {
-			return false, fmt.Errorf("core: queued object %d has no bookkeeping entry", obj)
+			return false, fmt.Errorf("core: queued object %d has no bookkeeping entry", obj) //lint:notbadquery an engine invariant failure, not a malformed query
 		}
 		if known < c.tb.m {
 			if err := c.resolve(obj); err != nil {

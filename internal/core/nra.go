@@ -80,7 +80,7 @@ func (a *NRA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 			// known, so T_k is exact and halted() must have fired;
 			// this guards against infinite loops on malformed
 			// inputs.
-			return nil, fmt.Errorf("core: NRA exhausted all lists without satisfying the stopping rule")
+			return nil, fmt.Errorf("core: NRA exhausted all lists without satisfying the stopping rule") //lint:notbadquery an engine invariant failure, not a malformed query
 		}
 		if c.Halted() {
 			return c.Result(), nil

@@ -90,7 +90,7 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 	if theta == 0 {
 		theta = 1
 	}
-	if theta < 1 {
+	if !(theta >= 1) {
 		return nil, fmt.Errorf("%w: θ must be at least 1, got %g", ErrBadQuery, theta)
 	}
 	if a.StrictStop && theta > 1 {
@@ -235,7 +235,7 @@ func (a *TA) Run(src *access.Source, t agg.Func, k int) (*Result, error) {
 					}
 				}
 				if !ok {
-					return nil, fmt.Errorf("core: object %d missing from list %d", e.Object, j)
+					return nil, fmt.Errorf("core: object %d missing from list %d", e.Object, j) //lint:notbadquery a database missing an object is corrupt, not a malformed query
 				}
 				grades[j] = g
 			}
@@ -417,7 +417,7 @@ func (a *TA) runBatched(src *access.Source, t agg.Func, k int, theta float64) (*
 							}
 						}
 						if !ok {
-							return nil, fmt.Errorf("core: object %d missing from list %d", e.Object, j)
+							return nil, fmt.Errorf("core: object %d missing from list %d", e.Object, j) //lint:notbadquery a database missing an object is corrupt, not a malformed query
 						}
 						grades[j] = g
 					}

@@ -124,4 +124,12 @@ func TestCostAwareTAOptionValidation(t *testing.T) {
 	if _, err := eng.Query(agg.Avg(3), 5, shard.Options{CostAwareTA: true, NoRandomAccess: true}); !errors.Is(err, core.ErrBadQuery) {
 		t.Fatalf("CostAwareTA+NoRandomAccess: err = %v, want ErrBadQuery", err)
 	}
+	// Costs follow the public Options rule: zero means unit costs, and an
+	// invalid model is rejected rather than silently replaced by unit costs.
+	if _, err := eng.Query(agg.Avg(3), 5, shard.Options{CostAwareTA: true, Costs: access.CostModel{CS: -1, CR: 8}}); !errors.Is(err, core.ErrBadQuery) {
+		t.Fatalf("CostAwareTA with cS = -1: err = %v, want ErrBadQuery", err)
+	}
+	if _, err := eng.Query(agg.Avg(3), 5, shard.Options{CostAwareTA: true}); err != nil {
+		t.Fatalf("CostAwareTA with zero costs: %v", err)
+	}
 }

@@ -366,17 +366,10 @@ func shouldPublish(plan publishPlan, since int, cur *core.NRACursor, gmk float64
 // and sequential MaxBuffered are comparable.
 func (e *Engine) queryNRA(ctx context.Context, t agg.Func, k int, opts Options) (*core.Result, error) {
 	p := len(e.shards)
-	plan, err := resolvePublish(opts, p)
-	if err != nil {
-		return nil, err
-	}
+	plan := resolvePublish(opts, p)
 	sched := opts.Schedule
-	switch sched {
-	case ScheduleAuto:
+	if sched == ScheduleAuto {
 		sched = ScheduleWave
-	case ScheduleWave, ScheduleCostAware, ScheduleAdaptive:
-	default:
-		return nil, fmt.Errorf("%w: unknown schedule %q", core.ErrBadQuery, sched)
 	}
 	ks := make([]int, p)
 	srcs := make([]*access.Source, p)

@@ -262,6 +262,7 @@ func TestRobustnessOptionValidation(t *testing.T) {
 	bad := []shard.Options{
 		{MinTheta: 0.5},
 		{MinTheta: -1},
+		{MinTheta: math.NaN()},
 		{Hedge: true},                       // TA mode has no resume loop
 		{Hedge: true, NoRandomAccess: true}, // wave schedule resumes everything already
 	}

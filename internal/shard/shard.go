@@ -47,35 +47,34 @@ const (
 	// PublishAuto (the zero value) resolves to PublishPerRound for a
 	// single shard — preserving the exact sequential-NRA depth equivalence
 	// — and PublishBoundCrossing otherwise.
-	PublishAuto PublishPolicy = ""
+	PublishAuto PublishPolicy = core.PublishAuto
 	// PublishPerRound publishes after every sorted-access round, the
 	// strict mode: at P = 1 the worker's pause rule then coincides with
 	// sequential NRA's halting rule access for access.
-	PublishPerRound PublishPolicy = "per-round"
+	PublishPerRound PublishPolicy = core.PublishPerRound
 	// PublishEveryR publishes every PublishEvery rounds (default 16).
 	// Workers overshoot the minimal depth by at most R-1 rounds per wave
 	// in exchange for 1/R as many coordinator merges.
-	PublishEveryR PublishPolicy = "every-r"
+	PublishEveryR PublishPolicy = core.PublishEveryR
 	// PublishBoundCrossing publishes only when the worker's local evidence
 	// can change the global decision: its local k-th W rose above the
 	// published global M_k (it can raise the bar), or its local ceiling
 	// max(τ, outside-B) fell to M_k or below (it may be pausable) — plus a
 	// safety-valve publish every PublishEvery rounds (default 64) so the
 	// coordinator's view never goes stale.
-	PublishBoundCrossing PublishPolicy = "bound-crossing"
+	PublishBoundCrossing PublishPolicy = core.PublishBoundCrossing
 )
 
 // Schedule selects how the no-random-access coordinator schedules shard
-// work (see nra.go). TA-mode queries have no resume loop to schedule, so
-// any explicit Schedule there is rejected with ErrBadQuery.
+// work (see nra.go).
 type Schedule string
 
 const (
 	// ScheduleAuto (the zero value) resolves to ScheduleWave.
-	ScheduleAuto Schedule = ""
+	ScheduleAuto Schedule = core.ScheduleAuto
 	// ScheduleWave resumes every unresolved shard concurrently each wave —
 	// the wall-clock-optimal default when backends cost the same.
-	ScheduleWave Schedule = "wave"
+	ScheduleWave Schedule = core.ScheduleWave
 	// ScheduleCostAware runs one shard at a time, always the shard whose
 	// B-ceiling exceeds the global M_k the most per unit of expected
 	// per-round cost (a never-run shard's ceiling is +Inf, so ties resolve
@@ -83,7 +82,7 @@ const (
 	// against an M_k the cheap shards have already raised, and pause far
 	// shallower than they would in a wave — trading intra-query
 	// parallelism for charged middleware cost on skewed backend sets.
-	ScheduleCostAware Schedule = "cost-aware"
+	ScheduleCostAware Schedule = core.ScheduleCostAware
 	// ScheduleAdaptive is ScheduleCostAware with observed-cost feedback:
 	// resumes are bounded probes (adaptiveProbeRounds rounds), each
 	// probe's wall-clock per round feeds a per-shard EWMA estimator, and
@@ -93,7 +92,7 @@ const (
 	// lying backend within a few probes, and degrades to exactly the
 	// declared costs when the backends tell the truth (in particular a
 	// single-shard run schedules identically to ScheduleCostAware).
-	ScheduleAdaptive Schedule = "adaptive"
+	ScheduleAdaptive Schedule = core.ScheduleAdaptive
 )
 
 // ShardStat is one shard's per-query observability record: its worker's
@@ -116,7 +115,9 @@ type ShardStat struct {
 	Cache access.CacheStats
 }
 
-// Options configures one sharded query.
+// Options configures one sharded query. Which options combine is decided
+// by the table behind core.CheckOptions; Query rejects every other
+// combination with core.ErrBadQuery.
 type Options struct {
 	// Workers bounds the number of concurrently running shard workers;
 	// 0 means one goroutine per shard.
@@ -134,14 +135,10 @@ type Options struct {
 	// grades and the same true-grade multiset as the plain TA mode, but
 	// ties at the k-th grade are broken arbitrarily rather than
 	// canonically, so tied object sets may differ between shard counts.
-	// Incompatible with NoRandomAccess (rejected with ErrBadQuery): the
-	// sorted-only mode spends no random accesses to plan, and its
-	// cost-awareness lives in Options.Schedule instead.
 	CostAwareTA bool
 	// Costs is the cost model cost-aware TA workers derive their phase
 	// period h from when a shard's backends declare no costs of their own
-	// (declared backend costs always win). Zero means unit costs. Ignored
-	// without CostAwareTA.
+	// (declared backend costs always win). Zero means unit costs.
 	Costs access.CostModel
 	// NoRandomAccess answers the query with one resumable NRA worker per
 	// shard instead of TA workers — sorted access only, the search-engine
@@ -150,21 +147,17 @@ type Options struct {
 	// always zero.
 	NoRandomAccess bool
 	// Publish selects the no-random-access publish policy; the zero value
-	// is PublishAuto. Setting it without NoRandomAccess is rejected with
-	// ErrBadQuery (TA workers publish through their progress hook, which
-	// has no batching to configure).
+	// is PublishAuto.
 	Publish PublishPolicy
 	// PublishEvery tunes the selected policy's round interval: the R of
 	// PublishEveryR (default 16) or the safety-valve interval of
 	// PublishBoundCrossing (default 64). With PublishAuto a positive value
-	// selects PublishEveryR. Negative values, and values above 1 combined
-	// with PublishPerRound, are rejected with ErrBadQuery.
+	// selects PublishEveryR.
 	PublishEvery int
 	// Schedule selects the no-random-access scheduling policy; the zero
 	// value is ScheduleAuto (wave). ScheduleCostAware optimizes charged
 	// middleware cost on heterogeneous backends at the expense of
-	// parallelism. Setting a non-auto schedule without NoRandomAccess is
-	// rejected with ErrBadQuery.
+	// parallelism.
 	Schedule Schedule
 	// Retry is the per-query retry policy every shard worker arms its
 	// Source with: transient backend failures (errors wrapping
@@ -177,18 +170,14 @@ type Options struct {
 	// caller accepts when shards are lost permanently and the answer
 	// degrades: 0 accepts any finite certified θ, a value ≥ 1 fails the
 	// query (with the underlying backend error) when the surviving shards
-	// certify only θ > MinTheta. Values in (0, 1) are rejected with
-	// ErrBadQuery — θ is by definition at least 1. Fault-free answers
-	// (θ = 1) always pass.
+	// certify only θ > MinTheta. Fault-free answers (θ = 1) always pass.
 	MinTheta float64
 	// Hedge lets the serialized no-random-access schedulers (cost-aware,
 	// adaptive) hedge a straggling resume: when the picked shard's expected
 	// per-round cost is hedgeFactor times the runner-up's or more, the
 	// runner-up is resumed concurrently as a hedge — a little extra charged
 	// cost buys wall-clock robustness against a slow or degraded backend.
-	// Stats.Hedges counts hedged resumes. Rejected with ErrBadQuery outside
-	// those schedules: the wave schedule already resumes every unresolved
-	// shard, and TA workers have no resume loop to hedge.
+	// Stats.Hedges counts hedged resumes.
 	Hedge bool
 	// OnShardStats, when non-nil, is invoked once just before the query
 	// returns successfully with every shard's per-worker accounting,
@@ -202,12 +191,9 @@ type publishPlan struct {
 	every  int // PublishEveryR period or PublishBoundCrossing safety valve
 }
 
-// resolvePublish validates the publish knobs and resolves PublishAuto
-// against the shard count.
-func resolvePublish(opts Options, p int) (publishPlan, error) {
-	if opts.PublishEvery < 0 {
-		return publishPlan{}, fmt.Errorf("%w: PublishEvery must be non-negative, got %d", core.ErrBadQuery, opts.PublishEvery)
-	}
+// resolvePublish resolves PublishAuto and the default intervals against
+// the shard count; CheckOptions has already rejected conflicting knobs.
+func resolvePublish(opts Options, p int) publishPlan {
 	pol := opts.Publish
 	if pol == PublishAuto {
 		switch {
@@ -222,9 +208,6 @@ func resolvePublish(opts Options, p int) (publishPlan, error) {
 	plan := publishPlan{policy: pol, every: opts.PublishEvery}
 	switch pol {
 	case PublishPerRound:
-		if opts.PublishEvery > 1 {
-			return publishPlan{}, fmt.Errorf("%w: PublishEvery %d conflicts with the per-round publish policy", core.ErrBadQuery, opts.PublishEvery)
-		}
 		plan.every = 1
 	case PublishEveryR:
 		if plan.every == 0 {
@@ -234,10 +217,8 @@ func resolvePublish(opts Options, p int) (publishPlan, error) {
 		if plan.every == 0 {
 			plan.every = 64
 		}
-	default:
-		return publishPlan{}, fmt.Errorf("%w: unknown publish policy %q", core.ErrBadQuery, pol)
 	}
-	return plan, nil
+	return plan
 }
 
 // Engine is a database partitioned for sharded querying. Partitioning
@@ -502,20 +483,21 @@ func (e *Engine) QueryContext(ctx context.Context, t agg.Func, k int, opts Optio
 	if err := core.ValidateQueryShape(e.m, e.n, t, k); err != nil {
 		return nil, err
 	}
-	if err := validateRobustness(opts); err != nil {
+	if _, err := core.CheckOptions(core.OptionSet{
+		Path:         core.PathSharded,
+		NoRandom:     opts.NoRandomAccess,
+		CostAwareTA:  opts.CostAwareTA,
+		Publish:      string(opts.Publish),
+		PublishEvery: opts.PublishEvery,
+		Schedule:     string(opts.Schedule),
+		MinTheta:     opts.MinTheta,
+		Hedge:        opts.Hedge,
+		Costs:        opts.Costs,
+	}); err != nil {
 		return nil, err
-	}
-	if opts.CostAwareTA && opts.NoRandomAccess {
-		return nil, fmt.Errorf("%w: cost-aware TA needs random access; the no-random-access mode plans costs through Options.Schedule instead", core.ErrBadQuery)
 	}
 	if opts.NoRandomAccess {
 		return e.queryNRA(ctx, t, k, opts)
-	}
-	if opts.Publish != PublishAuto || opts.PublishEvery != 0 {
-		return nil, fmt.Errorf("%w: publish batching applies to the no-random-access mode; TA workers have no publish schedule to configure", core.ErrBadQuery)
-	}
-	if opts.Schedule != ScheduleAuto {
-		return nil, fmt.Errorf("%w: scheduling policies apply to the no-random-access mode; TA workers run once under threshold cancellation and have no resume loop to schedule", core.ErrBadQuery)
 	}
 	p := len(e.shards)
 	coord := newCoordinator(k)

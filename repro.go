@@ -126,7 +126,9 @@ const (
 	AlgoMaxTopK AlgorithmName = "MaxTopK"
 )
 
-// Options configures Query.
+// Options configures Query. Which options combine is decided in one table
+// (see ValidateOptions); every other combination is rejected with
+// ErrBadQuery.
 type Options struct {
 	// Algorithm selects the algorithm; empty means AlgoTA (or AlgoNRA
 	// automatically when the policy forbids random access).
@@ -156,9 +158,7 @@ type Options struct {
 	// declare nothing). Answers carry exact grades and the same
 	// true-grade multiset as plain TA; ties at the k-th grade are broken
 	// arbitrarily, so tied object sets may differ. Composes with Shards
-	// (each shard worker plans its own backends' costs). Requires the TA
-	// algorithm with random access: combining it with another Algorithm,
-	// NoRandomAccess, or θ-approximation is rejected with ErrBadQuery.
+	// (each shard worker plans its own backends' costs).
 	CostAwareTA bool
 	// OnProgress, when non-nil, is invoked by TA and NRA after every
 	// sorted access (NRA: every sorted-access round); returning false
@@ -169,8 +169,7 @@ type Options struct {
 	// worker per shard (the sharded engine; see NewSharded for a
 	// reusable handle that partitions only once). Zero (the default)
 	// keeps the sequential path; AutoShards (-1) asks the engine to pick
-	// the shard count from N, k and GOMAXPROCS; other negative values are
-	// rejected with ErrBadQuery.
+	// the shard count from N, k and GOMAXPROCS.
 	//
 	// With random access available (the default), workers run TA and the
 	// answer is canonical — top k by (grade descending, ObjectID
@@ -181,10 +180,6 @@ type Options struct {
 	// pushing workers past their local halting points until the global
 	// intervals separate at rank k. That mode returns the exact top-k
 	// *object set* with grade intervals, exactly like sequential NRA.
-	//
-	// Sharding supports the TA and NRA algorithms; θ-approximation,
-	// sorted-access restriction (TAz) and OnProgress are rejected with
-	// ErrBadQuery.
 	Shards int
 	// ShardWorkers bounds how many shard workers run concurrently when
 	// Shards > 1; 0 means one goroutine per shard.
@@ -196,14 +191,12 @@ type Options struct {
 	// PublishBoundCrossing (the multi-shard default: publish only when
 	// the worker's local bounds cross the published global M_k). The
 	// answer is identical under every policy — batching trades bounded
-	// per-worker overshoot for far fewer coordinator merges. Setting it
-	// without the no-random-access mode is rejected with ErrBadQuery.
+	// per-worker overshoot for far fewer coordinator merges.
 	Publish PublishPolicy
 	// PublishEvery tunes the selected publish policy's round interval
 	// (the R of PublishEveryR, default 16, or PublishBoundCrossing's
 	// safety valve, default 64); with the default policy a positive value
-	// selects PublishEveryR. Negative values are rejected with
-	// ErrBadQuery.
+	// selects PublishEveryR.
 	PublishEvery int
 	// Backend, when non-nil, wraps every list as a simulated remote
 	// backend with the given per-access costs and latency distribution
@@ -226,9 +219,7 @@ type Options struct {
 	// ScheduleWave (the default) resumes every unresolved shard
 	// concurrently; ScheduleCostAware serializes on the shard with the
 	// best bound-tightening per unit of expected cost, minimizing charged
-	// middleware cost on skewed backend sets. Non-auto values require the
-	// sharded no-random-access mode; anything else is rejected with
-	// ErrBadQuery.
+	// middleware cost on skewed backend sets.
 	Schedule Schedule
 	// Fault, when non-nil, wraps every list with a deterministic seeded
 	// fault injector (above Backend, below Cache, when those are set):
@@ -236,9 +227,7 @@ type Options struct {
 	// optionally one permanently dead list. Transient failures are retried
 	// per Retry; a list lost for good fails the sequential query with an
 	// error wrapping ErrBackend, while a sharded query degrades to a
-	// θ-approximation over the surviving shards (see MinTheta). Requires a
-	// failure-aware algorithm — TA (plain or cost-aware), NRA, CA, sharded
-	// or not; FA, Naive and MaxTopK reject it with ErrBadQuery.
+	// θ-approximation over the surviving shards (see MinTheta).
 	Fault *FaultSpec
 	// Retry is the retry policy for transient backend failures (errors
 	// wrapping ErrBackend, except ErrListDown): capped exponential backoff
@@ -249,13 +238,11 @@ type Options struct {
 	// MinTheta is the weakest θ-approximation guarantee accepted when a
 	// sharded query loses shards permanently and degrades (Section 6.2):
 	// 0 accepts any finite certified θ; a value ≥ 1 fails the query when
-	// the survivors certify only θ > MinTheta; values in (0, 1) are
-	// rejected with ErrBadQuery. Requires Shards — the sequential path has
-	// no surviving shards to degrade over.
+	// the survivors certify only θ > MinTheta.
 	MinTheta float64
 	// Hedge lets the serialized sharded no-random-access schedulers
 	// (cost-aware, adaptive) hedge a straggling shard resume; see
-	// shard.Options.Hedge. Rejected with ErrBadQuery elsewhere.
+	// shard.Options.Hedge.
 	Hedge bool
 }
 
@@ -280,16 +267,16 @@ type FaultSpec struct {
 	Seed uint64
 }
 
-// validate rejects malformed fault specs.
-func (f *FaultSpec) validate() error {
+// validate rejects malformed fault specs for a database with m lists.
+func (f *FaultSpec) validate(m int) error {
 	if f.Rate < 0 || f.Rate > 1 {
 		return fmt.Errorf("%w: fault rate must be in [0, 1], got %g", ErrBadQuery, f.Rate)
 	}
 	if f.BurstEvery < 0 || f.BurstLen < 0 {
 		return fmt.Errorf("%w: fault burst configuration must be non-negative, got every=%d len=%d", ErrBadQuery, f.BurstEvery, f.BurstLen)
 	}
-	if f.DeadList < 0 {
-		return fmt.Errorf("%w: DeadList must be non-negative (1-based; 0 kills nothing), got %d", ErrBadQuery, f.DeadList)
+	if f.DeadList < 0 || f.DeadList > m {
+		return fmt.Errorf("%w: DeadList must be in [0, %d] (1-based; 0 kills nothing), got %d", ErrBadQuery, m, f.DeadList)
 	}
 	if f.Hang < 0 {
 		return fmt.Errorf("%w: fault hang must be non-negative, got %v", ErrBadQuery, f.Hang)
@@ -442,53 +429,57 @@ type ShardOptions = shard.Options
 // a handle pays it once.
 func NewSharded(db *Database, p int) (*Sharded, error) { return shard.New(db, p) }
 
-// querySharded routes Options.Shards != 0 through the sharded engine after
-// rejecting option combinations the engine does not support. The checks
-// mirror the sequential path's, so an option that would be rejected there
-// never slips through just because sharding is on — and every rejection
-// wraps ErrBadQuery, the same identity the internal layers use, so callers
-// branch on errors.Is instead of error text.
+// ValidateOptions reports whether opts combine legally for a Query over db
+// — per the one table (internal/core/compat.go) that Query, BatchQuery and
+// Sharded.Query consult — and which algorithm the query runs: the named
+// one, the default (TA, or NRA under NoRandomAccess), or "CostAwareTA".
+// FaultSpec and BackendSpec values are checked when the stack is built.
+func ValidateOptions(db *Database, opts Options) (algorithm string, err error) {
+	path := core.PathSequential
+	if opts.Shards != 0 {
+		path = core.PathSharded
+	}
+	return checkOptions(db, opts, path)
+}
+
+// checkOptions resolves opts' algorithm on the given path through the
+// compatibility table.
+func checkOptions(db *Database, opts Options, path core.Path) (algorithm string, err error) {
+	if db == nil {
+		return "", fmt.Errorf("%w: nil database", ErrBadQuery)
+	}
+	return core.CheckOptions(core.OptionSet{
+		Path:         path,
+		Algorithm:    string(opts.Algorithm),
+		Shards:       opts.Shards,
+		NoRandom:     opts.NoRandomAccess,
+		CostAwareTA:  opts.CostAwareTA,
+		Theta:        opts.Theta,
+		SortedLists:  len(opts.SortedLists) > 0,
+		OnProgress:   opts.OnProgress != nil,
+		Publish:      string(opts.Publish),
+		PublishEvery: opts.PublishEvery,
+		Schedule:     string(opts.Schedule),
+		MinTheta:     opts.MinTheta,
+		Hedge:        opts.Hedge,
+		Costs:        opts.Costs,
+		Backend:      opts.Backend != nil,
+		Cache:        opts.Cache != nil,
+		Fault:        opts.Fault != nil,
+	})
+}
+
+// querySharded routes Options.Shards != 0 through the sharded engine.
 func querySharded(db *Database, t AggFunc, k int, opts Options) (*Result, error) {
-	if opts.Shards == AutoShards {
-		opts.Shards = shard.AutoShards(db.N(), k, runtime.GOMAXPROCS(0))
-	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("%w: Shards must be non-negative (or AutoShards), got %d", ErrBadQuery, opts.Shards)
-	}
-	switch opts.Algorithm {
-	case "", AlgoTA, AlgoNRA:
-	default:
-		return nil, fmt.Errorf("%w: sharding supports only the TA and NRA algorithms, got %q", ErrBadQuery, opts.Algorithm)
-	}
-	noRandom := opts.NoRandomAccess || opts.Algorithm == AlgoNRA
-	if opts.Algorithm == AlgoTA && opts.NoRandomAccess {
-		return nil, fmt.Errorf("%w: TA needs random access; drop NoRandomAccess or use AlgoNRA for sharded sorted-only queries", ErrBadQuery)
-	}
-	if opts.CostAwareTA && noRandom {
-		return nil, fmt.Errorf("%w: CostAwareTA needs random access; the sharded sorted-only mode is scheduled cost-aware via Options.Schedule instead", ErrBadQuery)
-	}
-	if opts.Theta != 0 && opts.Theta < 1 {
-		return nil, fmt.Errorf("%w: θ must be at least 1, got %g", ErrBadQuery, opts.Theta)
-	}
-	if opts.Theta > 1 {
-		return nil, fmt.Errorf("%w: sharding computes exact answers; θ-approximation is not supported", ErrBadQuery)
-	}
-	if len(opts.SortedLists) > 0 {
-		return nil, fmt.Errorf("%w: sharding does not support restricting sorted access (TAz)", ErrBadQuery)
-	}
-	if opts.OnProgress != nil {
-		return nil, fmt.Errorf("%w: sharding does not support the OnProgress callback", ErrBadQuery)
-	}
-	costs, err := normalizeCosts(opts.Costs)
+	algorithm, err := checkOptions(db, opts, core.PathSharded)
 	if err != nil {
 		return nil, err
 	}
-	var eng *Sharded
-	if opts.Backend == nil && opts.Cache == nil && opts.Fault == nil {
-		eng, err = shard.New(db, opts.Shards)
-	} else {
-		eng, err = newShardedStack(db, opts.Shards, opts.Backend, opts.Fault, opts.Cache, costs)
+	if opts.Shards == AutoShards {
+		opts.Shards = shard.AutoShards(db.N(), k, runtime.GOMAXPROCS(0))
 	}
+	costs := orUnitCosts(opts.Costs)
+	eng, err := newShardedStack(db, opts.Shards, opts.Backend, opts.Fault, opts.Cache, costs)
 	if err != nil {
 		return nil, err
 	}
@@ -497,7 +488,7 @@ func querySharded(db *Database, t AggFunc, k int, opts Options) (*Result, error)
 		Memoize:        opts.Memoize,
 		CostAwareTA:    opts.CostAwareTA,
 		Costs:          costs,
-		NoRandomAccess: noRandom,
+		NoRandomAccess: algorithm == string(AlgoNRA),
 		Publish:        opts.Publish,
 		PublishEvery:   opts.PublishEvery,
 		Schedule:       opts.Schedule,
@@ -539,22 +530,31 @@ func newShardedStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec
 	if p < 1 {
 		return nil, fmt.Errorf("%w: shard count must be at least 1, got %d", ErrBadQuery, p)
 	}
+	dbs, err := db.Partition(p)
+	if err != nil {
+		return nil, err
+	}
+	shards, err := buildStacks(dbs, backend, fault, cache, base)
+	if err != nil {
+		return nil, err
+	}
+	return shard.FromBackends(shards)
+}
+
+// buildStacks fronts each shard database with the configured access stack,
+// bottom to top: its sorted lists, the simulated remote backends, the fault
+// injector and the cache (nil Lists when no layer is set). The sequential
+// path builds its stack as shard 0 of 1.
+func buildStacks(dbs []*Database, backend *BackendSpec, fault *FaultSpec, cache *CacheSpec, base CostModel) ([]shard.ShardBackend, error) {
 	if backend != nil {
 		if err := backend.validate(); err != nil {
 			return nil, err
 		}
 	}
 	if fault != nil {
-		if err := fault.validate(); err != nil {
+		if err := fault.validate(dbs[0].M()); err != nil {
 			return nil, err
 		}
-		if fault.DeadList > db.M() {
-			return nil, fmt.Errorf("%w: DeadList %d exceeds the %d lists", ErrBadQuery, fault.DeadList, db.M())
-		}
-	}
-	dbs, err := db.Partition(p)
-	if err != nil {
-		return nil, err
 	}
 	shards := make([]shard.ShardBackend, len(dbs))
 	for s, sdb := range dbs {
@@ -591,11 +591,11 @@ func newShardedStack(db *Database, p int, backend *BackendSpec, fault *FaultSpec
 		}
 		shards[s] = sb
 	}
-	return shard.FromBackends(shards)
+	return shards, nil
 }
 
 // validate rejects backend specs whose charges or distributions are
-// malformed, mirroring normalizeCosts' rules for the cost half: declared
+// malformed, mirroring the Options cost rule for the cost half: declared
 // costs must be a valid cost model (or both zero, meaning "inherit"), and
 // negative costs are refused outright — they would flip the cost-aware
 // scheduler's priorities and produce negative charged totals.
@@ -650,96 +650,51 @@ func (b *BackendSpec) forShard(s, p int, base CostModel) (access.CostModel, acce
 	return cm, lat
 }
 
-// normalizeCosts applies the zero-value default (unit costs) and rejects
-// invalid cost models; shared by the sequential and sharded paths.
-func normalizeCosts(c CostModel) (CostModel, error) {
-	if c.CS == 0 && c.CR == 0 {
-		c = access.UnitCosts
+// orUnitCosts applies the cost model's zero-value default, unit costs.
+func orUnitCosts(c CostModel) CostModel {
+	if c == (CostModel{}) {
+		return access.UnitCosts
 	}
-	if c.CS <= 0 || c.CR < 0 {
-		return c, fmt.Errorf("%w: invalid cost model %+v", ErrBadQuery, c)
-	}
-	return c, nil
+	return c
 }
 
 // prepare resolves Options into an algorithm and a fresh accounting Source
-// over the configured access stack (plain lists by default; simulated
-// remote backends and/or a query-lifetime cache when Options.Backend /
-// Options.Cache are set).
+// over the configured access stack (plain lists unless Options.Backend,
+// Fault or Cache is set).
 func prepare(db *Database, opts Options) (core.Algorithm, *access.Source, error) {
-	al, policy, err := resolve(db, opts)
+	al, policy, err := resolve(db, opts, core.PathSequential)
 	if err != nil {
 		return nil, nil, err
 	}
 	if opts.Backend == nil && opts.Cache == nil && opts.Fault == nil {
 		return al, access.New(db, policy), nil
 	}
-	costs, err := normalizeCosts(opts.Costs)
+	backend := opts.Backend
+	if backend != nil && backend.StragglerShards > 0 {
+		// One logical backend set: straggler marking is per shard and does
+		// not apply here.
+		spec := *backend
+		spec.StragglerShards = 0
+		backend = &spec
+	}
+	stack, err := buildStacks([]*Database{db}, backend, opts.Fault, opts.Cache, orUnitCosts(opts.Costs))
 	if err != nil {
 		return nil, nil, err
 	}
-	lists := make([]access.ListSource, db.M())
-	for i := range lists {
-		lists[i] = db.List(i)
-	}
-	if opts.Backend != nil {
-		if err := opts.Backend.validate(); err != nil {
-			return nil, nil, err
-		}
-		// One logical backend set: straggler marking is per shard and does
-		// not apply here.
-		spec := *opts.Backend
-		spec.StragglerShards = 0
-		cm, lat := spec.forShard(0, 1, costs)
-		for i := range lists {
-			lists[i] = access.NewRemote(lists[i], cm, lat)
-		}
-	}
-	if opts.Fault != nil {
-		// resolve already validated the spec and the algorithm choice.
-		for i := range lists {
-			lists[i] = access.NewFaulty(lists[i], opts.Fault.plan(uint64(i), opts.Fault.DeadList == i+1))
-		}
-	}
-	if opts.Cache != nil {
-		c := access.NewCache(access.CacheConfig{
-			PageSize:    opts.Cache.PageSize,
-			Pages:       opts.Cache.Pages,
-			ColdPages:   opts.Cache.ColdPages,
-			ColdHitCost: opts.Cache.ColdHitCost,
-			Memo:        opts.Cache.Memo,
-		})
-		lists = access.WrapLists(c, lists)
-	}
-	src := access.FromLists(lists, policy)
+	src := access.FromLists(stack[0].Lists, policy)
 	src.SetRetry(opts.Retry.Resolve())
 	return al, src, nil
 }
 
-// resolve maps Options to an algorithm and access policy without binding
-// them to a Source — shared by the sequential path (which opens a fresh
-// Source over db) and the batch executor (which attaches the query to a
-// shared scan).
-func resolve(db *Database, opts Options) (core.Algorithm, access.Policy, error) {
-	if db == nil {
-		return nil, access.Policy{}, fmt.Errorf("%w: nil database", ErrBadQuery)
-	}
-	if opts.Publish != PublishAuto || opts.PublishEvery != 0 {
-		return nil, access.Policy{}, fmt.Errorf("%w: publish batching applies only to sharded no-random-access queries", ErrBadQuery)
-	}
-	if opts.Schedule != ScheduleAuto {
-		return nil, access.Policy{}, fmt.Errorf("%w: scheduling policies apply only to sharded no-random-access queries", ErrBadQuery)
-	}
-	if opts.MinTheta != 0 {
-		return nil, access.Policy{}, fmt.Errorf("%w: MinTheta applies to sharded queries; the sequential path has no surviving shards to degrade over", ErrBadQuery)
-	}
-	if opts.Hedge {
-		return nil, access.Policy{}, fmt.Errorf("%w: Hedge applies to sharded no-random-access queries under a serialized schedule", ErrBadQuery)
-	}
-	costs, err := normalizeCosts(opts.Costs)
+// resolve checks Options on a sequential path (Query's own Source or
+// BatchQuery's shared scan) and maps them to an algorithm and access policy
+// without binding them to a Source.
+func resolve(db *Database, opts Options, path core.Path) (core.Algorithm, access.Policy, error) {
+	algorithm, err := checkOptions(db, opts, path)
 	if err != nil {
 		return nil, access.Policy{}, err
 	}
+	costs := orUnitCosts(opts.Costs)
 	policy := access.Policy{NoRandom: opts.NoRandomAccess}
 	if len(opts.SortedLists) > 0 {
 		policy.SortedLists = make(map[int]bool, len(opts.SortedLists))
@@ -750,46 +705,12 @@ func resolve(db *Database, opts Options) (core.Algorithm, access.Policy, error) 
 			policy.SortedLists[i] = true
 		}
 	}
-	name := opts.Algorithm
-	if name == "" {
-		if opts.NoRandomAccess {
-			name = AlgoNRA
-		} else {
-			name = AlgoTA
-		}
-	}
-	if opts.CostAwareTA {
-		if name != AlgoTA {
-			return nil, access.Policy{}, fmt.Errorf("%w: CostAwareTA requires the TA algorithm, got %q", ErrBadQuery, name)
-		}
-		if opts.NoRandomAccess {
-			return nil, access.Policy{}, fmt.Errorf("%w: CostAwareTA needs random access; use NRA (with Schedule for cost-awareness) when random access is impossible", ErrBadQuery)
-		}
-		if opts.Theta > 1 {
-			return nil, access.Policy{}, fmt.Errorf("%w: CostAwareTA computes exact answers; θ-approximation is not supported", ErrBadQuery)
-		}
-	}
-	if opts.Fault != nil {
-		if err := opts.Fault.validate(); err != nil {
-			return nil, access.Policy{}, err
-		}
-		if opts.Fault.DeadList > db.M() {
-			return nil, access.Policy{}, fmt.Errorf("%w: DeadList %d exceeds the %d lists", ErrBadQuery, opts.Fault.DeadList, db.M())
-		}
-		switch name {
-		case AlgoTA, AlgoNRA, AlgoCA:
-		default:
-			return nil, access.Policy{}, fmt.Errorf("%w: fault injection requires a failure-aware algorithm (TA, NRA or CA), got %q", ErrBadQuery, name)
-		}
-	}
 	var al core.Algorithm
-	switch name {
+	switch AlgorithmName(algorithm) {
 	case AlgoTA:
-		if opts.CostAwareTA {
-			al = &core.CostAwareTA{Costs: costs, OnProgress: opts.OnProgress}
-		} else {
-			al = &core.TA{Theta: opts.Theta, Memoize: opts.Memoize, OnProgress: opts.OnProgress}
-		}
+		al = &core.TA{Theta: opts.Theta, Memoize: opts.Memoize, OnProgress: opts.OnProgress}
+	case "CostAwareTA":
+		al = &core.CostAwareTA{Costs: costs, OnProgress: opts.OnProgress}
 	case AlgoFA:
 		al = core.FA{}
 	case AlgoNRA:
@@ -800,8 +721,6 @@ func resolve(db *Database, opts Options) (core.Algorithm, access.Policy, error) 
 		al = core.Naive{}
 	case AlgoMaxTopK:
 		al = core.MaxTopK{}
-	default:
-		return nil, access.Policy{}, fmt.Errorf("%w: unknown algorithm %q", ErrBadQuery, name)
 	}
 	return al, policy, nil
 }

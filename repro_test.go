@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -144,6 +145,9 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := repro.Query(db, repro.Min(2), 1, repro.Options{}); err == nil {
 		t.Error("arity mismatch accepted")
+	}
+	if _, err := repro.Query(db, repro.Min(3), 1, repro.Options{Theta: math.NaN()}); !errors.Is(err, repro.ErrBadQuery) {
+		t.Errorf("NaN θ: err = %v, want ErrBadQuery", err)
 	}
 }
 

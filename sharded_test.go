@@ -108,6 +108,8 @@ func TestShardedOptionCompatibility(t *testing.T) {
 		{Shards: 2, Algorithm: repro.AlgoTA, NoRandomAccess: true}, // TA cannot run without random access
 		{Shards: 2, Theta: 1.5},
 		{Shards: 2, Theta: 0.5}, // invalid θ must not slip through sharded
+		{Shards: 2, Theta: math.NaN()},
+		{Shards: 2, MinTheta: math.NaN()},
 		{Shards: 2, SortedLists: []int{0}},
 		{Shards: 2, OnProgress: func(repro.ProgressView) bool { return true }},
 		{Shards: 2, Costs: repro.CostModel{CS: -1, CR: 1}},

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/agg"
+	"repro/internal/core"
 	"repro/internal/traffic"
 )
 
@@ -164,17 +165,19 @@ func (s *servers) admit(at, d time.Duration) time.Duration {
 // depend only on the specs, and queueing is simulated in virtual time from
 // the trace's arrival offsets and the measured service times.
 func ReplayTrace(db *Database, reqs []traffic.Request, opts ReplayOptions) (*ReplayReport, error) {
-	if db == nil {
-		return nil, fmt.Errorf("%w: nil database", ErrBadQuery)
-	}
 	if opts.Shards < 0 {
 		return nil, fmt.Errorf("%w: replay shard count must be non-negative, got %d", ErrBadQuery, opts.Shards)
 	}
 	if opts.Batch < 0 {
 		return nil, fmt.Errorf("%w: replay batch size must be non-negative, got %d", ErrBadQuery, opts.Batch)
 	}
-	if opts.Shards == 0 && (opts.Backend != nil || opts.Cache != nil || opts.Fault != nil) {
-		return nil, fmt.Errorf("%w: backend stacks replay through the sharded engine; set Shards ≥ 1", ErrBadQuery)
+	path := core.PathSharedScan
+	if opts.Shards > 0 {
+		path = core.PathSharded
+	}
+	stack := Options{Costs: opts.Costs, Backend: opts.Backend, Cache: opts.Cache, Fault: opts.Fault}
+	if _, err := checkOptions(db, stack, path); err != nil {
+		return nil, err
 	}
 	base := Options{Costs: opts.Costs, Retry: opts.Retry}
 	specs := make([]QuerySpec, len(reqs))
@@ -261,10 +264,7 @@ func replayBatched(db *Database, reqs []traffic.Request, specs []QuerySpec, opts
 // request through it, measuring per-request service time and simulating a
 // Workers-server queue at the trace's arrival times.
 func replaySharded(db *Database, reqs []traffic.Request, specs []QuerySpec, opts ReplayOptions, rep *ReplayReport) error {
-	costs, err := normalizeCosts(opts.Costs)
-	if err != nil {
-		return err
-	}
+	costs := orUnitCosts(opts.Costs)
 	eng, err := newShardedStack(db, opts.Shards, opts.Backend, opts.Fault, opts.Cache, costs)
 	if err != nil {
 		return err
