@@ -303,23 +303,27 @@ func BenchmarkE15CAvsTA(b *testing.B) {
 	b.ReportMetric(caCost, "CA-cost")
 }
 
-// BenchmarkE16NRABookkeeping — rescan vs lazy engines (the ablation).
+// BenchmarkE16NRABookkeeping — rescan vs lazy engines (the ablation), under
+// avg and under the tie-heavy min and median, where many candidates share
+// one upper bound B.
 func BenchmarkE16NRABookkeeping(b *testing.B) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 10000, M: 3, Seed: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, engine := range []core.Engine{core.RescanEngine, core.LazyEngine} {
-		engine := engine
-		b.Run(engine.String(), func(b *testing.B) {
-			var recomputes float64
-			for i := 0; i < b.N; i++ {
-				res := mustRun(b, &core.NRA{Engine: engine},
-					access.New(db, access.Policy{NoRandom: true}), agg.Avg(3), 10)
-				recomputes = float64(res.Stats.BoundRecomputes)
-			}
-			b.ReportMetric(recomputes, "recomputes")
-		})
+		for _, tf := range []agg.Func{agg.Avg(3), agg.Min(3), agg.Median(3)} {
+			engine, tf := engine, tf
+			b.Run(engine.String()+"/"+tf.Name(), func(b *testing.B) {
+				var recomputes float64
+				for i := 0; i < b.N; i++ {
+					res := mustRun(b, &core.NRA{Engine: engine},
+						access.New(db, access.Policy{NoRandom: true}), tf, 10)
+					recomputes = float64(res.Stats.BoundRecomputes)
+				}
+				b.ReportMetric(recomputes, "recomputes")
+			})
+		}
 	}
 }
 
@@ -1041,11 +1045,14 @@ func BenchmarkAdaptiveSchedule(b *testing.B) {
 // --- micro-benchmarks of the algorithms themselves ---
 
 func benchAlgo(b *testing.B, al core.Algorithm, pol access.Policy) {
+	benchAlgoAgg(b, al, pol, agg.Avg(3))
+}
+
+func benchAlgoAgg(b *testing.B, al core.Algorithm, pol access.Policy, tf agg.Func) {
 	db, err := workload.IndependentUniform(workload.Spec{N: 20000, M: 3, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	tf := agg.Avg(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := al.Run(access.New(db, pol), tf, 10); err != nil {
@@ -1062,6 +1069,16 @@ func BenchmarkAlgoFA(b *testing.B)  { benchAlgo(b, core.FA{}, access.AllowAll) }
 func BenchmarkAlgoNRA(b *testing.B) { benchAlgo(b, &core.NRA{}, access.Policy{NoRandom: true}) }
 func BenchmarkAlgoCA(b *testing.B) {
 	benchAlgo(b, &core.CA{Costs: access.CostModel{CS: 1, CR: 8}}, access.AllowAll)
+}
+
+// BenchmarkAlgoCAMin and BenchmarkAlgoCostAwareTAMin time the tie case of
+// the bound bookkeeping: under min every object seen in one list shares
+// one upper bound B.
+func BenchmarkAlgoCAMin(b *testing.B) {
+	benchAlgoAgg(b, &core.CA{Costs: access.CostModel{CS: 1, CR: 8}}, access.AllowAll, agg.Min(3))
+}
+func BenchmarkAlgoCostAwareTAMin(b *testing.B) {
+	benchAlgoAgg(b, &core.CostAwareTA{Costs: access.CostModel{CS: 1, CR: 8}}, access.AllowAll, agg.Min(3))
 }
 func BenchmarkAlgoNaive(b *testing.B) { benchAlgo(b, core.Naive{}, access.AllowAll) }
 

@@ -15,7 +15,6 @@ package agg
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -181,10 +180,24 @@ func Median(m int) Func {
 	return &props{
 		name: "median", arity: m, strict: false, sm: true, smEach: false,
 		applyFunc: func(gs []model.Grade) model.Grade {
-			tmp := make([]model.Grade, len(gs))
-			copy(tmp, gs)
-			sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-			return tmp[(len(tmp)-1)/2]
+			// The lower median is the x with #{< x} ≤ (m−1)/2 < #{≤ x};
+			// counting instead of sorting keeps Apply allocation-free.
+			mid := (len(gs) - 1) / 2
+			for _, x := range gs {
+				below, atMost := 0, 0
+				for _, g := range gs {
+					if g < x {
+						below++
+					}
+					if g <= x {
+						atMost++
+					}
+				}
+				if below <= mid && mid < atMost {
+					return x
+				}
+			}
+			return model.Grade(math.NaN()) // only NaN grades rank nowhere
 		},
 	}
 }

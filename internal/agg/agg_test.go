@@ -3,6 +3,7 @@ package agg
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -245,5 +246,66 @@ func TestOWA(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestApplyDoesNotAllocate holds every ByName function, and OWA, to zero
+// allocations per Apply: the bound bookkeeping evaluates t on every
+// recompute, so a per-call allocation is paid thousands of times a query.
+func TestApplyDoesNotAllocate(t *testing.T) {
+	for _, m := range []int{1, 3, 10} {
+		gs := make([]model.Grade, m)
+		for i := range gs {
+			gs[i] = model.Grade(i%3) / 3
+		}
+		ws := make([]float64, m)
+		for i := range ws {
+			ws[i] = float64(m - i)
+		}
+		fs := []Func{OWA(ws)}
+		for _, name := range Names() {
+			f, err := ByName(name, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs = append(fs, f)
+		}
+		for _, f := range fs {
+			if n := testing.AllocsPerRun(100, func() { f.Apply(gs) }); n != 0 {
+				t.Errorf("m=%d %s: %v allocations per Apply", m, f.Name(), n)
+			}
+		}
+	}
+}
+
+// TestMedianAndOWAMatchSorting checks the counting median and the
+// rank-walking OWA against their sort-based definitions, bit for bit, on
+// random vectors drawn from a few levels so ties are common.
+func TestMedianAndOWAMatchSorting(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		m := 1 + rng.Intn(9)
+		gs := make([]model.Grade, m)
+		for i := range gs {
+			gs[i] = model.Grade(rng.Intn(4)) / 4
+		}
+		ws := make([]float64, m)
+		var sum float64
+		for i := range ws {
+			ws[i] = rng.Float64()
+			sum += ws[i]
+		}
+		sorted := append([]model.Grade(nil), gs...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+		if got, want := Median(m).Apply(gs), sorted[m-1-(m-1)/2]; got != want {
+			t.Fatalf("median(%v) = %v, want %v", gs, got, want)
+		}
+		var want model.Grade
+		for i, g := range sorted {
+			want += model.Grade(ws[i]/sum) * g
+		}
+		if got := OWA(ws).Apply(gs); got != want {
+			t.Fatalf("OWA(%v)(%v) = %v, want %v", ws, gs, got, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package agg
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/model"
 )
@@ -50,12 +49,24 @@ func OWA(weights []float64) Func {
 		sm:     true,
 		smEach: false,
 		applyFunc: func(gs []model.Grade) model.Grade {
-			tmp := make([]model.Grade, len(gs))
-			copy(tmp, gs)
-			sort.Slice(tmp, func(i, j int) bool { return tmp[i] > tmp[j] })
+			// Walk the grades in rank order — descending, equal grades by
+			// index, so grade i has rank #{j: gⱼ > gᵢ} + #{j < i: gⱼ = gᵢ} —
+			// by selecting each rank's grade in turn: O(m²) comparisons,
+			// no allocation, and the same summation order as a sort.
 			var v model.Grade
-			for i, g := range tmp {
-				v += model.Grade(ws[i]) * g
+			prev := -1
+			for r := range gs {
+				next := -1
+				for j, g := range gs {
+					if prev >= 0 && !(g < gs[prev] || g == gs[prev] && j > prev) {
+						continue // ranked at or before prev
+					}
+					if next < 0 || g > gs[next] {
+						next = j
+					}
+				}
+				v += model.Grade(ws[r]) * gs[next]
+				prev = next
 			}
 			return v
 		},

@@ -30,19 +30,37 @@ import (
 //     because bottom values only decrease, so a cached B is always an
 //     upper bound on the fresh B, and M_k never decreases, so an object
 //     that once becomes non-viable stays non-viable and can be retired.
+//     A cached B is fresh while no bottom has fallen since it was
+//     computed (table.clock), not merely within one depth: a round's
+//     later lists lower bottoms after its earlier lists' objects are
+//     bounded, and a B cached before that would hold the stopping rule
+//     back by a round.
+//
+// The lazy engine keeps the candidates outside T_k in buckets, one max-heap
+// (by cached B) per known-field mask S. Members of one bucket take the same
+// bottoms for their missing fields, so, t being monotone, none can have a
+// B above the bucket's cap Uₛ = t(1 on S, x̄ off S). Caps only fall as the
+// bottoms do, so a cap from an earlier clock still bounds the bucket, and
+// min(cached top B, cap) bounds every member's fresh B. The buckets sit in
+// one max-heap on that bound and drainTop searches them best-first: when the
+// best bucket's bound is exact — a fresh top, or a member whose fresh B
+// reaches the fresh cap — no candidate anywhere can beat it. Under min or
+// median most candidates of a bucket tie at Uₛ, so the search stops after
+// one refresh where one heap would refresh every tied candidate first.
 type partial struct {
 	obj    model.ObjectID
 	known  uint64
 	nKnown int
 	grades []model.Grade
 
-	w      model.Grade // exact lower bound, updated on every learned field
-	b      model.Grade // cached upper bound; fresh iff bDepth == table.depth
-	bDepth int
+	w   model.Grade // exact lower bound, updated on every learned field
+	b   model.Grade // cached upper bound; fresh iff bAt == table.clock
+	bAt int
 
 	retired bool // proven non-viable forever (lazy engine)
 	inTopK  bool
-	heapIdx int // position in the candidate heap, -1 if absent
+	bkt     *bucket // lazy engine: the bucket holding p, nil if none
+	heapIdx int     // position in bkt's heap, -1 if absent
 }
 
 // candHeap is a max-heap of candidates ordered by cached (possibly stale) B.
@@ -66,6 +84,42 @@ func (h candHeap) Swap(i, j int) {
 	h[j].heapIdx = j
 }
 
+// bucket holds the lazy engine's candidates with one known-field mask.
+type bucket struct {
+	mask uint64
+	h    candHeap
+
+	// cap is Uₛ as of capAt (+Inf before the first evaluation); hit,
+	// when it is still a fresh member at capAt, is one whose B equals
+	// cap.
+	cap   model.Grade
+	capAt int
+	hit   *partial
+
+	bound model.Grade // min(cached top B, cap) ≥ every member's fresh B
+	idx   int         // position in table.buckets
+}
+
+// bucketHeap is a max-heap of buckets ordered by bound.
+type bucketHeap []*bucket
+
+func (h bucketHeap) Len() int            { return len(h) }
+func (h bucketHeap) Less(i, j int) bool  { return h[i].bound > h[j].bound }
+func (h *bucketHeap) Push(x interface{}) { b := x.(*bucket); b.idx = len(*h); *h = append(*h, b) }
+func (h *bucketHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	b := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return b
+}
+func (h bucketHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].idx = i
+	h[j].idx = j
+}
+
 // table is the candidate bookkeeping shared by NRA, CA and Intermittent.
 type table struct {
 	t    agg.Func
@@ -74,11 +128,19 @@ type table struct {
 	lazy bool
 
 	depth    int
+	clock    int // advances whenever a bottom falls; see partial.bAt
 	bottoms  []model.Grade
 	observed uint64 // invariants build: lists that produced ≥1 sorted entry
 	parts    map[model.ObjectID]*partial
 	topk     []*partial // ≤ k entries, ordered best-first by (w, b, id)
-	cands    candHeap   // lazy engine: seen objects outside topk, not retired
+	full     uint64     // the mask with every field known
+	// Lazy engine: the seen objects outside topk that are not retired,
+	// bucketed by known-field mask; buckets is a max-heap on each
+	// bucket's bound, byMask finds a mask's bucket, spare recycles
+	// emptied ones.
+	buckets bucketHeap
+	byMask  map[uint64]*bucket
+	spare   []*bucket
 
 	scratch []model.Grade
 
@@ -96,7 +158,9 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 	tb := &table{
 		t: t, m: m, k: k, src: src, lazy: lazy,
 		bottoms: make([]model.Grade, m),
+		full:    ^uint64(0) >> uint(64-m),
 		parts:   make(map[model.ObjectID]*partial),
+		byMask:  make(map[uint64]*bucket),
 		scratch: make([]model.Grade, m),
 	}
 	for i := range tb.bottoms {
@@ -120,9 +184,28 @@ func (tb *table) computeW(p *partial) model.Grade {
 
 // computeB evaluates a fresh B(p) (missing fields ← current bottoms).
 func (tb *table) computeB(p *partial) model.Grade {
+	tb.src.CountBoundRecompute(1)
+	return tb.evalB(p)
+}
+
+// evalB is computeB without the accounting.
+func (tb *table) evalB(p *partial) model.Grade {
 	for j := 0; j < tb.m; j++ {
 		if p.known&(uint64(1)<<uint(j)) != 0 {
 			tb.scratch[j] = p.grades[j]
+		} else {
+			tb.scratch[j] = tb.bottoms[j]
+		}
+	}
+	return tb.t.Apply(tb.scratch)
+}
+
+// computeCap evaluates Uₛ = t(1 on mask, current bottoms off it), the
+// largest B any object with known-field mask S can have.
+func (tb *table) computeCap(mask uint64) model.Grade {
+	for j := 0; j < tb.m; j++ {
+		if mask&(uint64(1)<<uint(j)) != 0 {
+			tb.scratch[j] = 1
 		} else {
 			tb.scratch[j] = tb.bottoms[j]
 		}
@@ -131,13 +214,17 @@ func (tb *table) computeB(p *partial) model.Grade {
 	return tb.t.Apply(tb.scratch)
 }
 
-// refreshB makes p's cached B fresh for the current depth.
+// refreshB makes p's cached B fresh for the current bottoms.
 func (tb *table) refreshB(p *partial) {
-	if p.bDepth != tb.depth {
+	if p.bAt != tb.clock {
 		p.b = tb.computeB(p)
-		p.bDepth = tb.depth
+		p.bAt = tb.clock
 		if invariantsEnabled {
 			assertInvariant(p.w <= p.b, "object %d has W=%v > B=%v after refresh (Propositions 8.1/8.2)", p.obj, p.w, p.b)
+		}
+		if bk := p.bkt; bk != nil {
+			heap.Fix(&bk.h, p.heapIdx)
+			tb.rebound(bk)
 		}
 	}
 }
@@ -195,7 +282,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 			obj:     obj,
 			grades:  tb.gradeSlab[:tb.m:tb.m],
 			heapIdx: -1,
-			bDepth:  -1,
+			bAt:     -1,
 		}
 		tb.gradeSlab = tb.gradeSlab[tb.m:]
 		tb.parts[obj] = p
@@ -209,7 +296,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	p.grades[list] = g
 	p.w = tb.computeW(p)
 	p.b = tb.computeB(p)
-	p.bDepth = tb.depth
+	p.bAt = tb.clock
 	if invariantsEnabled {
 		assertInvariant(p.w <= p.b, "object %d has W=%v > B=%v (Propositions 8.1/8.2)", p.obj, p.w, p.b)
 	}
@@ -226,9 +313,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	}
 	// Try to promote p into T_k.
 	if len(tb.topk) < tb.k {
-		if p.heapIdx >= 0 {
-			heap.Remove(&tb.cands, p.heapIdx)
-		}
+		tb.removeCand(p)
 		p.inTopK = true
 		tb.topk = append(tb.topk, p)
 		tb.resortTopK()
@@ -236,26 +321,91 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 	}
 	worst := tb.topk[tb.k-1]
 	if better(p, worst) {
-		if p.heapIdx >= 0 {
-			heap.Remove(&tb.cands, p.heapIdx)
-		}
+		tb.removeCand(p)
 		p.inTopK = true
 		worst.inTopK = false
 		tb.topk[tb.k-1] = p
 		tb.resortTopK()
 		if tb.lazy {
-			heap.Push(&tb.cands, worst)
+			tb.addCand(worst)
 		}
 		return p
 	}
 	if tb.lazy {
-		if p.heapIdx >= 0 {
-			heap.Fix(&tb.cands, p.heapIdx)
-		} else {
-			heap.Push(&tb.cands, p)
-		}
+		// p's mask changed, so it moves to the new mask's bucket.
+		tb.removeCand(p)
+		tb.addCand(p)
 	}
 	return p
+}
+
+// addCand files p in the bucket of its known-field mask (lazy engine).
+func (tb *table) addCand(p *partial) {
+	bk := tb.byMask[p.known]
+	if bk == nil {
+		if n := len(tb.spare); n > 0 {
+			bk = tb.spare[n-1]
+			tb.spare = tb.spare[:n-1]
+		} else {
+			bk = &bucket{}
+		}
+		bk.mask = p.known
+		bk.cap = model.Grade(math.Inf(1))
+		bk.capAt = -1
+		bk.bound = p.b
+		tb.byMask[p.known] = bk
+		heap.Push(&tb.buckets, bk)
+	}
+	heap.Push(&bk.h, p)
+	p.bkt = bk
+	tb.rebound(bk)
+}
+
+// removeCand takes p out of its bucket, if it is in one, and drops the
+// bucket once it is empty.
+func (tb *table) removeCand(p *partial) {
+	bk := p.bkt
+	if bk == nil {
+		return
+	}
+	heap.Remove(&bk.h, p.heapIdx)
+	p.bkt = nil
+	if bk.h.Len() == 0 {
+		tb.dropBucket(bk)
+		return
+	}
+	tb.rebound(bk)
+}
+
+// rebound restores bk's bound and its place among the buckets after its
+// top or cap changed.
+func (tb *table) rebound(bk *bucket) {
+	bk.bound = bk.h[0].b
+	if bk.cap < bk.bound {
+		bk.bound = bk.cap
+	}
+	heap.Fix(&tb.buckets, bk.idx)
+}
+
+// dropBucket removes an empty bucket and keeps it for reuse.
+func (tb *table) dropBucket(bk *bucket) {
+	heap.Remove(&tb.buckets, bk.idx)
+	delete(tb.byMask, bk.mask)
+	bk.hit = nil
+	tb.spare = append(tb.spare, bk)
+}
+
+// retireBucket retires every member of bk — each one's fresh B is at most
+// bk's bound, which is at most M_k — and drops the bucket.
+func (tb *table) retireBucket(bk *bucket) {
+	for i, p := range bk.h {
+		p.retired = true
+		p.bkt = nil
+		p.heapIdx = -1
+		bk.h[i] = nil
+	}
+	bk.h = bk.h[:0]
+	tb.dropBucket(bk)
 }
 
 // observeSorted processes one sorted-access result on list i.
@@ -265,34 +415,93 @@ func (tb *table) observeSorted(i int, e model.Entry) {
 			"sorted list %d produced increasing grades: %v after bottom %v", i, e.Grade, tb.bottoms[i])
 		tb.observed |= uint64(1) << uint(i)
 	}
-	tb.bottoms[i] = e.Grade
+	if e.Grade != tb.bottoms[i] {
+		tb.bottoms[i] = e.Grade
+		tb.clock++
+	}
 	tb.learn(e.Object, i, e.Grade)
 }
 
 // drainTop returns the viable candidate outside T_k with the largest fresh
-// B, retiring every candidate whose fresh B ≤ M_k along the way (sound: B
-// only decreases, M_k only increases). It returns nil when no viable
-// candidate remains. Lazy engine only.
+// B (one of them, when several tie), or nil when no viable candidate
+// remains. It searches the buckets best-first by bound: a bucket whose
+// bound is ≤ M_k is retired whole (sound: B only decreases, M_k only
+// increases); otherwise its stale cap or stale top is refreshed, until the
+// best bucket's bound is exact — and therefore the largest fresh B of all.
+// Lazy engine only.
 func (tb *table) drainTop(mk model.Grade) *partial {
-	for tb.cands.Len() > 0 {
-		c := tb.cands[0]
-		if c.retired || c.inTopK {
-			heap.Pop(&tb.cands)
+	c := tb.searchBuckets(mk)
+	if invariantsEnabled && len(tb.parts) <= maxCheckedCands {
+		tb.checkDrained(mk, c)
+	}
+	return c
+}
+
+// searchBuckets is drainTop's best-first search.
+func (tb *table) searchBuckets(mk model.Grade) *partial {
+	for len(tb.buckets) > 0 {
+		bk := tb.buckets[0]
+		if bk.bound <= mk {
+			tb.retireBucket(bk)
 			continue
 		}
-		if c.bDepth == tb.depth {
-			if c.b > mk {
-				return c
-			}
-			c.retired = true
-			heap.Pop(&tb.cands)
+		if bk.capAt != tb.clock {
+			bk.cap = tb.computeCap(bk.mask)
+			bk.capAt = tb.clock
+			bk.hit = nil
+			tb.rebound(bk)
 			continue
+		}
+		if h := bk.hit; h != nil && h.bkt == bk && h.bAt == tb.clock {
+			return h
+		}
+		c := bk.h[0]
+		if c.bAt == tb.clock || bk.mask == tb.full {
+			// A fully known object's B is its exact grade at every clock.
+			c.bAt = tb.clock
+			return c
 		}
 		c.b = tb.computeB(c)
-		c.bDepth = tb.depth
-		heap.Fix(&tb.cands, 0)
+		c.bAt = tb.clock
+		if invariantsEnabled {
+			assertInvariant(c.b <= bk.cap, "object %d has B=%v above its mask's cap %v", c.obj, c.b, bk.cap)
+		}
+		if c.b >= bk.cap {
+			bk.hit = c
+		}
+		heap.Fix(&bk.h, 0)
+		tb.rebound(bk)
 	}
 	return nil
+}
+
+// maxCheckedCands bounds the table size up to which the invariants build
+// cross-checks drainTop by brute force.
+const maxCheckedCands = 4096
+
+// checkDrained asserts that c's B is fresh and is the largest fresh B
+// among the viable candidates outside T_k — c is nil exactly when none is
+// above mk — and that no retired object is viable (invariants build).
+func (tb *table) checkDrained(mk model.Grade, c *partial) {
+	best := mk
+	//lint:orderfree every part is visited exactly once and best is a pure reduction
+	for _, p := range tb.parts {
+		if p.inTopK {
+			continue
+		}
+		b := tb.evalB(p)
+		if p.retired {
+			assertInvariant(b <= mk, "retired object %d has B=%v above M_k=%v", p.obj, b, mk)
+		} else if b > best {
+			best = b
+		}
+	}
+	if c == nil {
+		assertInvariant(best == mk, "drainTop found no viable candidate, but one has B=%v > M_k=%v", best, mk)
+		return
+	}
+	assertInvariant(!c.inTopK && !c.retired && c.b == tb.evalB(c) && c.b == best,
+		"drainTop returned object %d with B=%v, but the largest fresh outside B is %v", c.obj, c.b, best)
 }
 
 // resolveAll performs the random accesses for every missing field of p
@@ -335,7 +544,7 @@ func (tb *table) maxBOutsideRescan() model.Grade {
 	//lint:orderfree every part is visited exactly once and maxB is a pure reduction
 	for _, p := range tb.parts {
 		p.b = tb.computeB(p)
-		p.bDepth = tb.depth
+		p.bAt = tb.clock
 		if !p.inTopK && p.b > maxB {
 			maxB = p.b
 		}

@@ -40,6 +40,7 @@ func TestTableWIncreasesBDecreases(t *testing.T) {
 	tb.depth = 1
 	p := tb.learn(2, 0, 0.8)
 	tb.bottoms[0] = 0.8
+	tb.clock++ // a bottom fell: cached bounds are stale
 	w0 := p.w
 	tb.refreshB(p)
 	b0 := p.b
@@ -47,6 +48,7 @@ func TestTableWIncreasesBDecreases(t *testing.T) {
 	tb.depth = 2
 	tb.bottoms[0] = 0.5
 	tb.bottoms[1] = 0.9
+	tb.clock++
 	tb.refreshB(p)
 	if p.b > b0 {
 		t.Fatalf("B rose from %v to %v after bottoms fell", b0, p.b)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/access"
 )
@@ -103,7 +104,7 @@ var (
 var compatTable = []rule{
 	// Values no mode accepts.
 	{"Shards", func(o *OptionSet) bool { return o.Shards < -1 }, nil, "Shards must be non-negative, or AutoShards (-1)"},
-	{"Costs", func(o *OptionSet) bool { return o.Costs != (access.CostModel{}) && (o.Costs.CS <= 0 || o.Costs.CR < 0) }, nil, "invalid cost model: cS must be positive and cR non-negative (zero means unit costs)"},
+	{"Costs", func(o *OptionSet) bool { return o.Costs != (access.CostModel{}) && !validCosts(o.Costs) }, nil, "invalid cost model: cS must be positive and finite, cR non-negative and finite (zero means unit costs)"},
 	{"Publish", func(o *OptionSet) bool { return !publishPolicies[o.Publish] }, nil, "unknown publish policy; use per-round, every-r or bound-crossing"},
 	{"PublishEvery", func(o *OptionSet) bool { return o.PublishEvery < 0 }, nil, "PublishEvery must be non-negative"},
 	{"PublishEvery", func(o *OptionSet) bool { return o.Publish == PublishPerRound && o.PublishEvery > 1 }, nil, "PublishEvery above 1 conflicts with the per-round publish policy"},
@@ -156,6 +157,12 @@ func CheckOptions(o OptionSet) (algorithm string, err error) {
 		}
 	}
 	return algorithm, nil
+}
+
+// validCosts reports whether c has a finite positive cS and a finite
+// non-negative cR; NaN fails both comparisons.
+func validCosts(c access.CostModel) bool {
+	return c.CS > 0 && c.CR >= 0 && !math.IsInf(c.CS, 1) && !math.IsInf(c.CR, 1)
 }
 
 func (r *rule) allows(algo algoSet, path Path) bool {

@@ -165,9 +165,6 @@ func (a *CostAwareTA) Run(src *access.Source, t agg.Func, k int) (*Result, error
 			view.Exhausted[i] = true
 			continue
 		}
-		// Bounds age per access here (not per parallel round): any access
-		// lowers a bottom, so cached B values must refresh against it.
-		tb.depth++
 		view.PrevBottom[i] = view.Bottom[i]
 		view.Bottom[i] = e.Grade
 		view.Depth[i]++

@@ -15,7 +15,7 @@ func init() {
 		tab := &Table{
 			ID:    "E16",
 			Title: "NRA bound recomputations per engine (m=3, k=10, uniform)",
-			Paper: "Straightforward NRA bookkeeping updates B for every seen object at every depth — Ω(d²m) updates by depth d; the paper calls finding better data structures an open issue. The lazy engine refreshes bounds on demand (sound: bottoms only fall, M_k only rises).",
+			Paper: "Straightforward NRA bookkeeping updates B for every seen object at every depth — Ω(d²m) updates by depth d; the paper calls finding better data structures an open issue. The lazy engine refreshes bounds on demand (sound: bottoms only fall, M_k only rises), searching its candidates bucketed by known-field mask, each bucket capped by t(1 on the mask, bottoms off it).",
 			Columns: []string{
 				"N", "engine", "rounds", "sorted", "bound recomputes", "same answer",
 			},

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/access"
@@ -131,5 +132,10 @@ func TestCostAwareTAOptionValidation(t *testing.T) {
 	}
 	if _, err := eng.Query(agg.Avg(3), 5, shard.Options{CostAwareTA: true}); err != nil {
 		t.Fatalf("CostAwareTA with zero costs: %v", err)
+	}
+	for _, c := range []access.CostModel{{CS: math.NaN(), CR: 8}, {CS: 1, CR: math.NaN()}, {CS: math.Inf(1), CR: 8}, {CS: 1, CR: math.Inf(1)}} {
+		if _, err := eng.Query(agg.Avg(3), 5, shard.Options{CostAwareTA: true, Costs: c}); !errors.Is(err, core.ErrBadQuery) {
+			t.Fatalf("CostAwareTA with costs %+v: err = %v, want ErrBadQuery", c, err)
+		}
 	}
 }

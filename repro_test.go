@@ -149,6 +149,28 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := repro.Query(db, repro.Min(3), 1, repro.Options{Theta: math.NaN()}); !errors.Is(err, repro.ErrBadQuery) {
 		t.Errorf("NaN θ: err = %v, want ErrBadQuery", err)
 	}
+	// A non-finite cost model is rejected on every path that reads one.
+	nan, inf := math.NaN(), math.Inf(1)
+	eng, err := repro.NewSharded(db, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []repro.CostModel{{CS: nan, CR: 1}, {CS: 1, CR: nan}, {CS: inf, CR: 1}, {CS: 1, CR: inf}} {
+		for name, o := range map[string]repro.Options{
+			"TA":             {Costs: c},
+			"CA":             {Algorithm: "CA", Costs: c},
+			"cost-aware TA":  {CostAwareTA: true, Costs: c},
+			"sharded TA":     {Shards: 2, Costs: c},
+			"sharded c-a TA": {Shards: 2, CostAwareTA: true, Costs: c},
+		} {
+			if _, err := repro.Query(db, repro.Min(3), 1, o); !errors.Is(err, repro.ErrBadQuery) {
+				t.Errorf("%s with costs %+v: err = %v, want ErrBadQuery", name, c, err)
+			}
+		}
+		if _, err := eng.Query(repro.Min(3), 1, repro.ShardOptions{Costs: c}); !errors.Is(err, repro.ErrBadQuery) {
+			t.Errorf("Sharded.Query with costs %+v: err = %v, want ErrBadQuery", c, err)
+		}
+	}
 }
 
 func TestResultCost(t *testing.T) {
