@@ -24,8 +24,9 @@ import (
 //
 // Two engines maintain the bounds (Remark 8.7's bookkeeping question):
 //
-//   - rescan: every depth recomputes B for every seen object — the paper's
-//     Ω(d²m) straightforward bookkeeping.
+//   - rescan: every stopping-rule check recomputes B for every seen
+//     object and re-sorts T_k — the paper's Ω(d²m) straightforward
+//     bookkeeping.
 //   - lazy: B values are cached and only refreshed on demand. Sound
 //     because bottom values only decrease, so a cached B is always an
 //     upper bound on the fresh B, and M_k never decreases, so an object
@@ -34,7 +35,9 @@ import (
 //     computed (table.clock), not merely within one depth: a round's
 //     later lists lower bottoms after its earlier lists' objects are
 //     bounded, and a B cached before that would hold the stopping rule
-//     back by a round.
+//     back by a round. T_k's tie-break on W reads B as of the latest
+//     check, as in the rescan engine (syncTopK), so both engines hold the
+//     same T_k and halt at the same depth.
 //
 // The lazy engine keeps the candidates outside T_k in buckets, one max-heap
 // (by cached B) per known-field mask S. Members of one bucket take the same
@@ -141,6 +144,10 @@ type table struct {
 	buckets bucketHeap
 	byMask  map[uint64]*bucket
 	spare   []*bucket
+	// Lazy engine: the clock and bottoms of the latest stopping-rule
+	// check, where the rescan engine refreshes every B (see syncTopK).
+	syncAt      int
+	syncBottoms []model.Grade
 
 	scratch []model.Grade
 
@@ -162,9 +169,12 @@ func newTable(src *access.Source, t agg.Func, k int, lazy bool) *table {
 		parts:   make(map[model.ObjectID]*partial),
 		byMask:  make(map[uint64]*bucket),
 		scratch: make([]model.Grade, m),
+
+		syncBottoms: make([]model.Grade, m),
 	}
 	for i := range tb.bottoms {
 		tb.bottoms[i] = 1 // x̄ᵢ = 1 before any sorted access
+		tb.syncBottoms[i] = 1
 	}
 	return tb
 }
@@ -245,10 +255,12 @@ func (tb *table) mk() model.Grade {
 
 // better reports whether a ranks strictly above b in the T_k order:
 // larger W first, ties by larger (cached) B, then smaller id.
-func better(a, b *partial) bool {
+func (tb *table) better(a, b *partial) bool {
 	if a.w != b.w {
 		return a.w > b.w
 	}
+	tb.syncB(a)
+	tb.syncB(b)
 	if a.b != b.b {
 		return a.b > b.b
 	}
@@ -259,7 +271,7 @@ func better(a, b *partial) bool {
 func (tb *table) resortTopK() {
 	s := tb.topk
 	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && better(s[j], s[j-1]); j-- {
+		for j := i; j > 0 && tb.better(s[j], s[j-1]); j-- {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
@@ -320,7 +332,7 @@ func (tb *table) learn(obj model.ObjectID, list int, g model.Grade) *partial {
 		return p
 	}
 	worst := tb.topk[tb.k-1]
-	if better(p, worst) {
+	if tb.better(p, worst) {
 		tb.removeCand(p)
 		p.inTopK = true
 		worst.inTopK = false
@@ -567,9 +579,47 @@ func (tb *table) halted() bool {
 		}
 	}
 	if tb.lazy {
+		tb.syncTopK()
 		return tb.drainTop(mk) == nil
 	}
 	return tb.maxBOutsideRescan() <= mk
+}
+
+// syncTopK stands in, in the lazy engine, for the rescan engine's full
+// pass at a stopping-rule check. T_k breaks ties on W by cached B, and
+// that pass refreshes every B and re-sorts T_k, so the lazy engine records
+// the bottoms of the check and re-sorts T_k too; better brings a member's
+// cached B up to those bottoms (syncB) only when it ties another on W.
+// Both engines then hold the same T_k without the lazy one refreshing
+// every member at every check. (A retired object the rescan engine might
+// admit by id is pinned at W = B = M_k, the same pair as the member it
+// would displace.)
+func (tb *table) syncTopK() {
+	if tb.syncAt != tb.clock {
+		tb.syncAt = tb.clock
+		copy(tb.syncBottoms, tb.bottoms)
+	}
+	tb.resortTopK()
+}
+
+// syncB sets p's cached B to its value at the latest stopping-rule check
+// when it was computed before that check — the value the rescan engine
+// holds there. It stays an upper bound: bottoms only fall. The rescan
+// engine never records a check, so this is a no-op there.
+func (tb *table) syncB(p *partial) {
+	if p.bAt >= tb.syncAt {
+		return
+	}
+	for j := 0; j < tb.m; j++ {
+		if p.known&(uint64(1)<<uint(j)) != 0 {
+			tb.scratch[j] = p.grades[j]
+		} else {
+			tb.scratch[j] = tb.syncBottoms[j]
+		}
+	}
+	tb.src.CountBoundRecompute(1)
+	p.b = tb.t.Apply(tb.scratch)
+	p.bAt = tb.syncAt
 }
 
 // result assembles the Result from the final T_k. GradesExact holds when

@@ -108,8 +108,8 @@ func (c *NRACursor) Step() bool {
 		c.encountered = append(c.encountered, e.Object)
 	}
 	if !progress {
-		// Undo the depth bump: nothing was read, so bound freshness at
-		// the previous depth still holds and Depth stays meaningful.
+		// Undo the depth bump: nothing was read, and Depth counts
+		// completed rounds only.
 		c.tb.depth--
 		if c.err == nil {
 			c.exhausted = true
@@ -228,6 +228,7 @@ func (c *NRACursor) SeenAll() bool { return len(c.tb.parts) >= c.src.N() }
 // M_k only rises).
 func (c *NRACursor) OutsideB() model.Grade {
 	if c.tb.lazy {
+		c.tb.syncTopK()
 		if cand := c.tb.drainTop(c.tb.mk()); cand != nil {
 			return cand.b
 		}
@@ -237,8 +238,8 @@ func (c *NRACursor) OutsideB() model.Grade {
 }
 
 // View assembles the current interval evidence. Top-k B values are
-// refreshed to the current depth; OutsideB is the fresh maximum outside the
-// top-k (computing it retires lazily-discovered non-viable candidates,
+// refreshed wherever a bottom has fallen since they were cached; OutsideB
+// is the fresh maximum outside the top-k (computing it retires lazily-discovered non-viable candidates,
 // which is sound: B only falls and M_k only rises).
 func (c *NRACursor) View() CursorView {
 	tb := c.tb
