@@ -254,7 +254,8 @@ func (tb *table) mk() model.Grade {
 }
 
 // better reports whether a ranks strictly above b in the T_k order:
-// larger W first, ties by larger (cached) B, then smaller id.
+// larger W first, ties by larger B as of the latest stopping-rule check
+// (syncB), then smaller id.
 func (tb *table) better(a, b *partial) bool {
 	if a.w != b.w {
 		return a.w > b.w
